@@ -1,0 +1,3 @@
+"""The repository benchmark: workloads, checked outputs, end-to-end and
+per-layer metrics.  Run it with ``python3 perfbench/run.py``; see
+``perfbench/README.md``."""
