@@ -1,10 +1,10 @@
 """The PR 3 engine (pre-batching), vendored for the P3 A/B benchmark.
 
-``test_p3_queue_parallel`` measures the batched dispatch loop, the
-pluggable queue backends and the slimmed hot paths against *the engine
-they replaced* — the PR 3 fast path — inside one process, the same
-methodology ``test_p1_core_throughput`` uses against the pre-PR 3
-engine via :mod:`_legacy_machine`.  This module is a faithful copy of
+``test_p3_queue_parallel`` measures the batched dispatch loop and the
+slimmed hot paths against *the engine they replaced* — the earlier
+fast path — inside one process, the same methodology
+``test_p1_core_throughput`` uses against the engine before that via
+:mod:`_legacy_machine`.  This module is a faithful copy of
 the replaced classes as they stood at the PR 3 tip:
 
 * ``P3EventHeap`` / ``P3Event`` — tuple-keyed heap with the

@@ -212,37 +212,30 @@ COMMENTARY = {
         " verified.  Numbers land in `BENCH_core.json` under"
         " `parallel_campaign`."),
     "P3": (
-        "## P3 — raw-speed tier 2: batched dispatch, queue backends,"
-        " intra-run parallelism",
+        "## P3 — raw-speed tier 2: batched dispatch",
         "**Not a paper claim — an infrastructure result.**  P1's"
         " micro-optimizations bought one multiple; the next one required"
-        " structural change.  Three pieces land together: batched"
-        " same-timestamp dispatch (`EventHeap.pop_batch` drains runs of"
-        " tied events in one call, amortizing per-event loop overhead),"
-        " pluggable event-queue backends (binary heap, calendar queue,"
-        " ladder queue — identical pop order including tie-breaking is"
-        " the contract), and a conservative intra-run parallel loop"
-        " (`ParallelMachineLoop`, bus-latency lookahead windows with"
-        " ordered handoff, honest measured-ratio auto-degrade)."
+        " structural change: batched same-timestamp dispatch"
+        " (`Simulator.run` drains each run of tied events from the heap"
+        " in one inner loop, amortizing per-event loop overhead) plus"
+        " allocation cuts on the scheduler, kernel-delivery and"
+        " histogram hot paths."
         "  `benchmarks/test_p3_queue_parallel.py` runs the *dense* OLTP"
         " workload — the bank under per-transaction application compute"
-        " — on the current engine and on the vendored pre-PR engine"
+        " — on the current engine and on the vendored pre-P3 engine"
         " (`benchmarks/_p3_baseline.py`) in one process, interleaved"
-        " min-of-N `process_time` rounds, byte-identical behaviour"
-        " verified before comparing speed (see `docs/performance.md`"
-        " sections 1a and 2a):",
+        " min-of-N `process_time` rounds, identical behaviour verified"
+        " before comparing speed:",
         "**Shape check:** the current engine clears the required 1.3x"
-        " on identical virtual behaviour.  All three queue backends"
-        " produce byte-identical traces on healthy and fault paths (the"
-        " backends are a speed knob, never a semantics knob; at these"
-        " pending-set depths the heap wins).  The parallel loop, forced"
-        " past the one-core clamp onto real worker threads, is also"
-        " byte-identical to serial, and the measured-ratio gate degrades"
-        " it whenever parallel dispatch falls below 0.95x serial — on"
-        " CPython's GIL the expected outcome — so `--run-jobs` can"
-        " never make a run slower than not asking.  Numbers land in"
-        " `BENCH_core.json` under `p3_comparison` (per-backend"
-        " events/sec included)."),
+        " on identical virtual behaviour (same event count, end time,"
+        " terminal output and exit codes).  Calendar and ladder event"
+        " queues and an intra-run parallel loop were also built and"
+        " measured on this workload; the heap beat both queues and the"
+        " parallel loop ran at 0.338x serial under the GIL, so all three"
+        " were removed (`docs/performance.md`, \"Measured and"
+        " removed\"); `tests/test_dense_oltp_trace.py` pins this"
+        " workload's healthy and crash-path traces.  Numbers land in"
+        " `BENCH_core.json` under `p3_comparison`."),
     "F4": (
         "## F4 — latency under fault: request percentiles through"
         " crash recovery and bus degradation",
@@ -398,7 +391,7 @@ SUMMARY = """
 | F5 | section 2 rivals priced quantitatively | auragen owns the tail; heartbeat 5.5× faster |
 | P1 | (infrastructure) simulator-core fast path | ≥1.3× events/sec, byte-identical traces |
 | P2 | (infrastructure) parallel campaign engine | ≥2× on ≥4 cores, byte-identical reports |
-| P3 | (infrastructure) raw-speed tier 2: batching, queue backends, intra-run parallelism | ≥1.3× dense OLTP; 3 backends + parallel loop byte-identical |
+| P3 | (infrastructure) raw-speed tier 2: batched dispatch | ≥1.3× dense OLTP, identical behaviour |
 """
 
 

@@ -1,15 +1,15 @@
-"""P3 — raw-speed tier 2: batched dispatch + queue backends + intra-run
-parallelism vs. the engine as it stood entering this PR.
+"""P3 — raw-speed tier 2: batched dispatch vs. the engine as it stood
+entering that change.
 
-The tentpole claim: batched same-timestamp dispatch, the hot-path grind
-through the vendored-class surface (scheduler, kernel delivery,
-histograms, memory transactions) and the best event-queue backend make
-the *dense OLTP* workload — the bank under per-transaction application
-compute — run >= 1.3x more events/sec than the prior engine, with
-byte-identical externally visible behaviour.
+The tentpole claim: batched same-timestamp dispatch and the hot-path
+grind through the vendored-class surface (scheduler, kernel delivery,
+histograms, memory transactions) make the *dense OLTP* workload — the
+bank under per-transaction application compute — run >= 1.3x more
+events/sec than the prior engine, with byte-identical externally
+visible behaviour.
 
 Both engines run in one process on the same machine-build code
-(:mod:`_p3_baseline` swaps vendored copies of the pre-PR simulator,
+(:mod:`_p3_baseline` swaps vendored copies of the pre-P3 simulator,
 heap, trace, metrics, bus, cluster, kernel, scheduler and executive
 into the construction path), so the comparison is immune to toolchain
 drift and host variation.  Timing uses ``time.process_time()`` with
@@ -20,16 +20,14 @@ Claims asserted:
 * **Throughput** — dense OLTP runs >= 1.3x more events/sec on the
   current engine (recorded in ``BENCH_core.json`` under
   ``p3_comparison``);
-* **Queue equivalence** — heap, calendar and ladder backends produce
-  byte-identical trace dumps on healthy and fault paths (the pluggable
-  backends are a speed knob, never a semantics knob);
-* **Parallel equivalence + honesty** — the intra-run parallel loop
-  (forced past the one-core clamp, real worker threads) is
-  byte-identical to serial, and the measured-ratio gate degrades the
-  loop whenever parallel dispatch fails to reach
-  :data:`~repro.sim.parallel.RATIO_FLOOR` of serial throughput, so
-  asking for ``--run-jobs`` can never make a run slower than not
-  asking.
+* **Equivalence** — both engines execute the same number of events,
+  end at the same virtual time and produce the same tty output and
+  exit codes.
+
+The calendar and ladder event queues and the intra-run parallel loop
+this benchmark once also measured were removed: neither beat the
+binary heap and the serial loop (see ``docs/performance.md``,
+"Measured and removed").
 """
 
 from __future__ import annotations
@@ -41,7 +39,6 @@ import time
 
 from repro import Machine, MachineConfig
 from repro.metrics import format_table
-from repro.sim.parallel import RATIO_FLOOR, ParallelMachineLoop
 from repro.workloads import build_dense_oltp
 
 from _p3_baseline import p3_engine
@@ -51,15 +48,10 @@ THRESHOLD = 1.3
 ROUNDS = 8          # interleaved; min per engine is compared
 EXTRA_ROUNDS = 8    # noise guard: extend only while below threshold
 
-QUEUES = ("heap", "calendar", "ladder")
 
-
-def build_dense(trace: bool = False, queue: str = "heap",
-                run_jobs: int = 1) -> Machine:
+def build_dense(trace: bool = False) -> Machine:
     machine = Machine(MachineConfig(n_clusters=4, seed=7,
-                                    trace_enabled=trace,
-                                    event_queue=queue,
-                                    run_jobs=run_jobs).validate())
+                                    trace_enabled=trace).validate())
     build_dense_oltp(machine, n_clients=4, txns_per_client=60,
                      accounts=24, seed=7)
     return machine
@@ -92,21 +84,6 @@ def observable(machine: Machine):
     return tuple(machine.tty_output()), tuple(sorted(machine.exits.items()))
 
 
-def measure_queues(rounds: int = 3):
-    """Min-of-N seconds per queue backend on the dense workload."""
-    best = {}
-    for _ in range(rounds):
-        for queue in QUEUES:
-            machine = build_dense(queue=queue)
-            gc.collect()
-            start = time.process_time()
-            machine.run_until_idle(max_events=60_000_000)
-            elapsed = time.process_time() - start
-            if queue not in best or elapsed < best[queue]:
-                best[queue] = elapsed
-    return best
-
-
 def test_p3_throughput_ratio(benchmark, table_printer):
     machine_new, t_new, machine_old, t_old = run_once(
         benchmark, lambda: measure_pair(ROUNDS))
@@ -126,11 +103,6 @@ def test_p3_throughput_ratio(benchmark, table_printer):
     assert machine_new.sim.now == machine_old.sim.now
     assert observable(machine_new) == observable(machine_old)
 
-    queue_seconds = measure_queues()
-    queue_seconds["heap"] = min(queue_seconds["heap"], t_new)
-    queue_eps = {queue: events / seconds
-                 for queue, seconds in queue_seconds.items()}
-
     eps_new = events / t_new
     eps_old = events / t_old
     ratio = eps_new / eps_old
@@ -138,13 +110,11 @@ def test_p3_throughput_ratio(benchmark, table_printer):
         ["engine", "events", "wall (s)", "events/sec"],
         [["pre-PR", events, f"{t_old:.4f}", f"{eps_old:,.0f}"],
          ["current", events, f"{t_new:.4f}", f"{eps_new:,.0f}"],
-         ["ratio", "", "", f"{ratio:.2f}x"]]
-        + [[f"  queue={queue}", events, f"{queue_seconds[queue]:.4f}",
-            f"{queue_eps[queue]:,.0f}"] for queue in QUEUES],
+         ["ratio", "", "", f"{ratio:.2f}x"]],
         title="P3: dense-OLTP throughput, current vs pre-PR engine "
               f"(interleaved min of {ROUNDS + extra} process_time rounds)"))
 
-    _record_ab(eps_new, eps_old, events, t_new, t_old, ratio, queue_eps)
+    _record_ab(eps_new, eps_old, events, t_new, t_old, ratio)
     assert ratio >= THRESHOLD, (
         f"engine speedup {ratio:.2f}x below required {THRESHOLD}x "
         f"(new {eps_new:,.0f} vs old {eps_old:,.0f} events/sec)")
@@ -174,8 +144,7 @@ def _merge_core(update) -> None:
         handle.write("\n")
 
 
-def _record_ab(eps_new, eps_old, events, t_new, t_old, ratio,
-               queue_eps) -> None:
+def _record_ab(eps_new, eps_old, events, t_new, t_old, ratio) -> None:
     _merge_core({"p3_comparison": {
         "workload": "dense-oltp (4 clusters, 4 clients, 60 txns, "
                     "32 app steps/txn)",
@@ -185,137 +154,4 @@ def _record_ab(eps_new, eps_old, events, t_new, t_old, ratio,
         "current": {"wall_seconds": round(t_new, 6),
                     "events_per_sec": round(eps_new)},
         "ratio": round(ratio, 3),
-        "queue_backends": {queue: round(eps)
-                           for queue, eps in sorted(queue_eps.items())},
     }})
-
-
-def _run_traced(queue: str = "heap", fault: bool = False,
-                parallel_jobs: int = 0) -> Machine:
-    machine = build_dense(trace=True, queue=queue)
-    if fault:
-        machine.crash_cluster(2, at=8_000)
-    if parallel_jobs:
-        loop = ParallelMachineLoop(machine, jobs=parallel_jobs,
-                                   force=True)
-        try:
-            loop.run_until_idle(max_events=60_000_000)
-            assert not loop.degraded, loop.degrade_reason
-            assert loop.handoffs > 0, "no work reached the workers"
-        finally:
-            loop.close()
-    else:
-        machine.run_until_idle(max_events=60_000_000)
-    return machine
-
-
-def test_p3_queue_backend_equivalence(benchmark):
-    """All three backends yield byte-identical traces, clocks and
-    external behaviour — healthy and fault paths alike."""
-    def run_all():
-        out = {}
-        for fault in (False, True):
-            out[fault] = [_run_traced(queue=queue, fault=fault)
-                          for queue in QUEUES]
-        return out
-
-    runs = run_once(benchmark, run_all)
-    for fault, machines in runs.items():
-        reference = machines[0]
-        assert len(reference.trace) > 0
-        for machine in machines[1:]:
-            assert machine.trace.dump() == reference.trace.dump(), \
-                f"trace diverged (fault={fault})"
-            assert machine.sim.now == reference.sim.now
-            assert (machine.sim.events_executed
-                    == reference.sim.events_executed)
-            assert observable(machine) == observable(reference)
-
-
-def test_p3_parallel_serial_equivalence(benchmark):
-    """The intra-run parallel loop (real worker threads, forced past
-    the one-core clamp) is byte-identical to serial execution on
-    healthy and fault paths."""
-    def run_all():
-        out = {}
-        for fault in (False, True):
-            out[fault] = (_run_traced(fault=fault),
-                          _run_traced(fault=fault, parallel_jobs=2))
-        return out
-
-    runs = run_once(benchmark, run_all)
-    for fault, (serial, parallel) in runs.items():
-        assert len(serial.trace) > 0
-        assert parallel.trace.dump() == serial.trace.dump(), \
-            f"parallel trace diverged (fault={fault})"
-        assert parallel.sim.now == serial.sim.now
-        assert (parallel.sim.events_executed
-                == serial.sim.events_executed)
-        assert observable(parallel) == observable(serial)
-
-
-def test_p3_measured_ratio_gate(benchmark):
-    """The measured-ratio gate is honest: whatever the parallel loop
-    actually measures against serial, a ratio below RATIO_FLOOR
-    degrades the loop (so a production run falls back to the serial
-    fast path), and a degraded loop's subsequent runs match serial
-    results exactly."""
-    def measure():
-        serial_best = parallel_best = None
-        serial = parallel = None
-        for _ in range(3):
-            serial = build_dense()
-            gc.collect()
-            start = time.process_time()
-            serial.run_until_idle(max_events=60_000_000)
-            elapsed = time.process_time() - start
-            if serial_best is None or elapsed < serial_best:
-                serial_best = elapsed
-
-            parallel = build_dense()
-            loop = ParallelMachineLoop(parallel, jobs=2, force=True)
-            try:
-                gc.collect()
-                start = time.process_time()
-                loop.run_until_idle(max_events=60_000_000)
-                elapsed = time.process_time() - start
-            finally:
-                loop.close()
-            if parallel_best is None or elapsed < parallel_best:
-                parallel_best = elapsed
-        return serial, parallel, serial_best, parallel_best
-
-    serial, parallel, t_serial, t_parallel = run_once(benchmark, measure)
-    assert parallel.sim.events_executed == serial.sim.events_executed
-
-    ratio = t_serial / t_parallel if t_parallel else 0.0
-    gate = ParallelMachineLoop(build_dense(), jobs=2, force=True)
-    try:
-        degraded = gate.record_measured_ratio(ratio)
-    finally:
-        gate.close()
-    assert gate.measured_ratio == ratio
-    _merge_core({"p3_comparison": {"intra_run_parallel": {
-        "jobs": 2,
-        "measured_ratio": round(ratio, 3),
-        "ratio_floor": RATIO_FLOOR,
-        "degraded": bool(ratio < RATIO_FLOOR),
-    }}})
-    # The gate must degrade exactly when the measurement is below the
-    # floor; on CPython's GIL the ordered handoff makes that the
-    # expected outcome, and degrading restores serial throughput — so
-    # the *effective* configuration never regresses below the floor.
-    assert degraded == (ratio < RATIO_FLOOR)
-    if degraded:
-        assert gate.jobs_effective == 1
-        follow_up = build_dense()
-        relay = ParallelMachineLoop(follow_up, jobs=2,
-                                    measured_ratio=ratio, force=True)
-        try:
-            assert relay.degraded
-            relay.run_until_idle(max_events=60_000_000)
-        finally:
-            relay.close()
-        assert (follow_up.sim.events_executed
-                == serial.sim.events_executed)
-        assert follow_up.sim.now == serial.sim.now

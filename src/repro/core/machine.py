@@ -60,19 +60,7 @@ class Machine:
         self.metrics = MetricSet(
             keep_series=self.config.metrics_raw_series)
         self.trace = TraceLog(enabled=self.config.trace_enabled)
-        if self.config.event_queue != "heap" \
-                or self.config.event_queue_params:
-            from ..sim.queues import make_queue
-            queue = make_queue(self.config.event_queue,
-                               self.config.event_queue_params)
-            self.sim = Simulator(trace=self.trace, queue=queue)
-        else:
-            # Keyword kept off the default path: the A/B engine swaps
-            # (legacy/P3 vendored simulators) predate the ``queue``
-            # parameter.
-            self.sim = Simulator(trace=self.trace)
-        #: Built lazily on first run when ``config.run_jobs != 1``.
-        self._parallel_loop = None
+        self.sim = Simulator(trace=self.trace)
         self.topology = (topology if topology is not None
                          else Topology.default(self.config))
         self.disks = self.topology.build_disks()
@@ -231,29 +219,13 @@ class Machine:
     # running
     # ------------------------------------------------------------------
 
-    def parallel_loop(self) -> "object":
-        """The intra-run parallel dispatcher for this machine (built on
-        first use; see :class:`repro.sim.parallel.ParallelMachineLoop`).
-        Only consulted when ``config.run_jobs != 1``."""
-        if self._parallel_loop is None:
-            from ..sim.parallel import ParallelMachineLoop
-            self._parallel_loop = ParallelMachineLoop(
-                self, jobs=self.config.run_jobs)
-        return self._parallel_loop
-
     def run(self, until: Optional[Ticks] = None,
             max_events: Optional[int] = None) -> Ticks:
         """Advance the simulation (see :meth:`Simulator.run`)."""
-        if self.config.run_jobs != 1:
-            return self.parallel_loop().run(until=until,
-                                            max_events=max_events)
         return self.sim.run(until=until, max_events=max_events)
 
     def run_until_idle(self, max_events: int = 10_000_000) -> Ticks:
         """Run until nothing is scheduled (blocked processes may remain)."""
-        if self.config.run_jobs != 1:
-            return self.parallel_loop().run_until_idle(
-                max_events=max_events)
         return self.sim.run_until_idle(max_events=max_events)
 
     # ------------------------------------------------------------------

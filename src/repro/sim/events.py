@@ -104,30 +104,19 @@ _Entry = Tuple[int, int, int, Event, Callable[[], None]]
 class EventHeap:
     """A deterministic min-heap of :class:`Event` objects.
 
-    Beyond the classic push/pop surface this exposes the *batch* protocol
-    the event loop dispatches through (see :class:`~repro.sim.queues.EventQueue`
-    for the formal contract shared with the calendar and ladder backends):
-
-    * :meth:`pop_batch` drains one run of same-timestamp events in a
-      single call, so the loop pays its bound checks and bookkeeping once
-      per *timestamp* instead of once per event;
-    * ``same_time_watch`` / ``same_time_dirty`` let the loop detect a push
-      landing at the timestamp of the batch it is currently executing —
-      the one case where batch dispatch could reorder relative to
-      single-event dispatch — and fall back via :meth:`reinsert`.
+    This is the simulator's only event queue.  :meth:`Simulator.run
+    <repro.sim.loop.Simulator.run>` drains its entry list directly; the
+    methods below pop in the same ``(time, priority, seq)`` order, with
+    the same lazy-discard accounting, one call at a time
+    (:meth:`pop_batch` takes one run of same-timestamp events per call).
     """
 
-    __slots__ = ("_heap", "_seq", "_live", "same_time_watch",
-                 "same_time_dirty")
+    __slots__ = ("_heap", "_seq", "_live")
 
     def __init__(self) -> None:
         self._heap: List[_Entry] = []
         self._seq = 0
         self._live = 0
-        #: Timestamp the event loop is currently executing a batch at, or
-        #: -1.  A push at exactly this time sets ``same_time_dirty``.
-        self.same_time_watch = -1
-        self.same_time_dirty = False
 
     def __len__(self) -> int:
         return self._live
@@ -137,28 +126,12 @@ class EventHeap:
         """Schedule ``action`` at absolute virtual ``time`` and return the event."""
         if time < 0:
             raise SchedulingError(f"event time must be >= 0, got {time}")
-        if time == self.same_time_watch:
-            self.same_time_dirty = True
         seq = self._seq
         self._seq = seq + 1
         self._live += 1
         event = Event(time, priority, seq, action, label)
         heappush(self._heap, (time, priority, seq, event, action))
         return event
-
-    def reinsert(self, event: Event) -> None:
-        """Put a popped-but-unexecuted event back, keeping its original key.
-
-        Used by the event loop's same-tick fallback: when a batch member's
-        action schedules new work at the batch's own timestamp, the
-        undispatched tail of the batch is reinserted and re-popped in key
-        order against the late arrivals.  The original ``(time, priority,
-        seq)`` is preserved, so reinserted events keep their place in the
-        total order.
-        """
-        self._live += 1
-        heappush(self._heap, (event.time, event.priority, event.seq, event,
-                              event.action))
 
     def pop(self) -> Optional[Event]:
         """Remove and return the next live event, or ``None`` if empty.
@@ -200,8 +173,7 @@ class EventHeap:
         return None
 
     def pop_batch(self, until: Optional[int] = None,
-                  limit: Optional[int] = None,
-                  into: Optional[List[Event]] = None) -> List[Event]:
+                  limit: Optional[int] = None) -> List[Event]:
         """Remove and return one run of live events sharing a timestamp.
 
         The batch starts at the next live head within the (inclusive)
@@ -215,18 +187,9 @@ class EventHeap:
         the same live-count accounting as :meth:`pop_next`, including a
         cancelled head beyond the bound (the phantom-pending rule).
         Returns ``[]`` when nothing is due.
-
-        ``into``, when given, is cleared and refilled instead of
-        allocating a fresh list — the event loop calls this once per
-        timestamp, and at modest tie density a per-call list allocation
-        erases most of the batching win.
         """
         heap = self._heap
-        if into is None:
-            batch: List[Event] = []
-        else:
-            batch = into
-            batch.clear()
+        batch: List[Event] = []
         while heap:
             head = heap[0]
             if head[3].cancelled:

@@ -35,31 +35,23 @@ class Simulator:
         sim.run()
     """
 
-    def __init__(self, trace: Optional[TraceLog] = None,
-                 queue: Optional["EventHeap"] = None) -> None:
+    def __init__(self, trace: Optional[TraceLog] = None) -> None:
         #: Current virtual time in ticks.  Read-only by convention.
         self.now = 0
-        #: The event-queue backend.  Anything satisfying the
-        #: :class:`~repro.sim.queues.EventQueue` protocol works; the
-        #: default binary heap is right for almost every workload (see
-        #: docs/performance.md, "Choosing an event queue").
-        self._heap = queue if queue is not None else EventHeap()
+        self._heap = EventHeap()
         self._running = False
         self._event_count = 0
         self.trace = trace if trace is not None else TraceLog()
-        if type(self._heap) is EventHeap:
-            # Shadow the method with a fused closure: call_after is the
-            # single busiest entry point (one call per scheduled event)
-            # and the generic path pays two call layers plus attribute
-            # walks that a closure over the heap's internals avoids.
-            # Pluggable backends keep the method, which routes through
-            # their own push().
-            self.call_after = self._make_fast_call_after()
+        # Shadow the method with a fused closure: call_after is the
+        # single busiest entry point (one call per scheduled event) and
+        # the method pays two call layers plus attribute walks that a
+        # closure over the heap's internals avoids.
+        self.call_after = self._make_fast_call_after()
 
     @property
     def events_executed(self) -> int:
         """Number of events executed so far (diagnostic; updated when a
-        :meth:`run` call returns, not per event)."""
+        :meth:`run` call returns or raises, not per event)."""
         return self._event_count
 
     def pending(self) -> int:
@@ -85,9 +77,9 @@ class Simulator:
                                label=label)
 
     def _make_fast_call_after(self) -> Callable[..., Event]:
-        """Build the fused :meth:`call_after` used with the default heap:
+        """Build the fused :meth:`call_after` installed on every instance:
         :meth:`EventHeap.push` inlined into the scheduling call, with
-        identical bounds, watch-flag and live-count semantics."""
+        identical bounds and live-count semantics."""
         from heapq import heappush
 
         heap = self._heap
@@ -98,8 +90,6 @@ class Simulator:
             if delay < 0:
                 raise SchedulingError(f"delay must be >= 0, got {delay}")
             time = self.now + delay
-            if time == heap.same_time_watch:
-                heap.same_time_dirty = True
             seq = heap._seq
             heap._seq = seq + 1
             heap._live += 1
@@ -123,127 +113,68 @@ class Simulator:
         through it.  It dispatches in *batches* — one run of
         same-timestamp events at a time — so the bound checks and the
         clock write are paid once per timestamp rather than once per
-        event.
-
-        Two implementations share that structure:
-
-        * For the default :class:`EventHeap` the run drain is inlined
-          over the raw heap list, popping one entry at a time.  Events
-          pushed *at the current tick* by an executing action simply land
-          in the heap and are drained in ``(priority, seq)`` order with
-          the rest of the run, so this path is order-identical to
-          single-event dispatch by construction.
-        * Pluggable backends (calendar, ladder — see
-          :mod:`repro.sim.queues`) go through the generic
-          :meth:`~repro.sim.events.EventHeap.pop_batch` protocol, which
-          materialises the run up front.  There a same-tick push *would*
-          reorder against the undispatched remainder, so the queue flags
-          such pushes via ``same_time_watch`` / ``same_time_dirty`` and
-          the loop reinserts the tail (original keys preserved) and
-          re-pops, restoring the exact serial order.  No current
-          component schedules at zero delay — every cost in
-          :class:`~repro.config.CostModel` is at least one tick — so
-          that fallback is a correctness net, not a hot path.
+        event.  Events pushed *at the current tick* by an executing
+        action simply land in the heap and are drained in ``(priority,
+        seq)`` order with the rest of the run, so batch dispatch is
+        order-identical to single-event dispatch by construction.
         """
         if self._running:
             raise SimulationError("simulator is not reentrant")
         self._running = True
-        executed = 0
-        heap = self._heap
         try:
-            if type(heap) is EventHeap:
-                executed = self._run_heap_fast(heap, until, max_events)
-            else:
-                executed = self._run_generic(heap, until, max_events)
+            self._run_heap_fast(self._heap, until, max_events)
             if until is not None and self.now < until:
                 self.now = until
             return self.now
         finally:
-            heap.same_time_watch = -1
-            self._event_count += executed
             self._running = False
 
     def _run_heap_fast(self, heap: EventHeap, until: Optional[int],
-                       max_events: Optional[int]) -> int:
-        """Batch dispatch inlined over the default heap's entry list.
+                       max_events: Optional[int]) -> None:
+        """Batch dispatch inlined over the heap's entry list.
 
         Operates on ``heap._heap`` directly with the same lazy-discard
         and live-count accounting as :meth:`EventHeap.pop_next`; the
         method-call layer per event was a measured fraction of dense
-        workloads (see the P3 A/B benchmark).
+        workloads (see the P3 A/B benchmark).  Executed events are added
+        to :attr:`events_executed` even when an action raises.
         """
         executed = 0
         stop_at = max_events if max_events is not None else (1 << 62)
         entries = heap._heap
-        while executed < stop_at:
-            # Scan to the next live head, discarding cancelled entries
-            # (including one beyond the bound: the phantom-pending rule).
-            while entries:
-                head = entries[0]
-                if head[3].cancelled:
-                    heappop(entries)
+        try:
+            while executed < stop_at:
+                # Scan to the next live head, discarding cancelled entries
+                # (including one beyond the bound: the phantom-pending
+                # rule).
+                while entries:
+                    head = entries[0]
+                    if head[3].cancelled:
+                        heappop(entries)
+                        heap._live -= 1
+                        continue
+                    break
+                if not entries:
+                    break
+                now = head[0]
+                if until is not None and now > until:
+                    break
+                self.now = now
+                # Drain the whole run at this timestamp.  Same-tick pushes
+                # from executing actions enter the heap and are drained
+                # here in (priority, seq) order — exact serial-dispatch
+                # order.
+                while entries and entries[0][0] == now:
+                    entry = heappop(entries)
                     heap._live -= 1
-                    continue
-                break
-            if not entries:
-                break
-            now = head[0]
-            if until is not None and now > until:
-                break
-            self.now = now
-            # Drain the whole run at this timestamp.  Same-tick pushes
-            # from executing actions enter the heap and are drained here
-            # in (priority, seq) order — exact serial-dispatch order.
-            while entries and entries[0][0] == now:
-                entry = heappop(entries)
-                heap._live -= 1
-                if entry[3].cancelled:
-                    continue
-                executed += 1
-                entry[4]()
-                if executed == stop_at:
-                    break
-        return executed
-
-    def _run_generic(self, heap: "EventHeap", until: Optional[int],
-                     max_events: Optional[int]) -> int:
-        """Batch dispatch through the backend-neutral pop_batch protocol
-        (any :class:`~repro.sim.queues.EventQueue` implementation)."""
-        executed = 0
-        pop_batch = heap.pop_batch
-        reinsert = heap.reinsert
-        buffer: list = []      # reused across batches; pop_batch refills it
-        while True:
-            if max_events is not None:
-                remaining = max_events - executed
-                if remaining <= 0:
-                    break
-                batch = pop_batch(until, remaining, buffer)
-            else:
-                batch = pop_batch(until, None, buffer)
-            if not batch:
-                break
-            self.now = now = batch[0].time
-            heap.same_time_watch = now
-            heap.same_time_dirty = False
-            index = 0
-            size = len(batch)
-            while index < size:
-                event = batch[index]
-                index += 1
-                # A batch member cancelled by an earlier member's
-                # action: skip it, exactly as the serial scan would
-                # have discarded it before dispatch.
-                if event.cancelled:
-                    continue
-                executed += 1
-                event.action()
-                if heap.same_time_dirty:
-                    for later in batch[index:]:
-                        if not later.cancelled:
-                            reinsert(later)
-                    break
-        return executed
+                    if entry[3].cancelled:
+                        continue
+                    executed += 1
+                    entry[4]()
+                    if executed == stop_at:
+                        break
+        finally:
+            self._event_count += executed
 
     def run_until_idle(self, max_events: int = 10_000_000) -> int:
         """Run until no events remain.  ``max_events`` guards against a

@@ -138,6 +138,16 @@ def test_schema_rejects_unknown_top_level_key():
     assert "did you mean 'workload'?" in str(err.value)
 
 
+def test_schema_rejects_engine_section():
+    """There is one event queue and one dispatch loop; an ``engine:``
+    section is an unknown top-level key like any other."""
+    with pytest.raises(SchemaError) as err:
+        validate_scenario(_base_doc(engine={"queue": "heap"}))
+    message = str(err.value)
+    assert "unknown top-level key 'engine'" in message
+    assert "known: scenario, description, workload, machine" in message
+
+
 def test_schema_rejects_unknown_recipe_and_kind():
     with pytest.raises(SchemaError) as err:
         validate_scenario({"scenario": "t",

@@ -139,3 +139,19 @@ def test_deterministic_interleaving():
         return order
 
     assert run_once() == run_once() == ["a", "b", "c"]
+
+
+def test_events_executed_counts_a_run_that_raises():
+    """An action that raises still leaves every event it and its
+    predecessors executed in the counter: fault campaigns report
+    ``events_executed`` for runs that end in a SimulationError."""
+    sim = Simulator()
+    sim.call_at(1, lambda: None)
+    sim.call_at(2, lambda: None)
+    sim.call_at(3, lambda: sim.call_after(-1, lambda: None))
+    with pytest.raises(SchedulingError):
+        sim.run()
+    assert sim.events_executed == 3
+    sim.call_at(4, lambda: None)
+    sim.run()
+    assert sim.events_executed == 4

@@ -10,9 +10,9 @@ subtleties that a batch-draining refactor could silently shift:
   the phantom-pending accounting fixed in PR 1.
 
 These tests pin both behaviours explicitly, then hold ``pop_batch`` (the
-batched replacement the loop now runs on) to the same boundary: a batch
-never crosses ``until``, never mixes timestamps, and its lazy-discard
-accounting matches the single-event scan exactly.
+one-timestamp drain ``Simulator.run`` inlines) to the same boundary: a
+batch never crosses ``until``, never mixes timestamps, and its
+lazy-discard accounting matches the single-event scan exactly.
 """
 
 from __future__ import annotations
@@ -175,25 +175,3 @@ def test_pop_batch_limit_splits_a_run() -> None:
     batch = heap.pop_batch(limit=3)
     assert batch == events[:3]
     assert heap.pop_batch(limit=3) == events[3:]
-
-
-def test_pop_batch_reports_same_time_push_while_draining() -> None:
-    """A push at the batch's own timestamp after the batch was drained must
-    be visible to ``reinsert``-style recovery: the heap flags pushes at the
-    watched time so the loop can fall back to single-event dispatch."""
-    heap = EventHeap()
-    heap.push(10, lambda: None)
-    heap.push(10, lambda: None)
-    batch = heap.pop_batch()
-    heap.same_time_watch = 10
-    heap.same_time_dirty = False
-    heap.push(10, lambda: None)
-    assert heap.same_time_dirty
-    heap.same_time_watch = -1
-    # The tail of the batch can be reinserted with original keys: order
-    # against the late arrival is preserved (lower seq pops first).
-    heap.reinsert(batch[1])
-    first = heap.pop_next()
-    second = heap.pop_next()
-    assert first is batch[1]
-    assert second is not None and second.seq > first.seq
