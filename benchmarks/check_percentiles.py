@@ -82,22 +82,7 @@ def check_bench(data: Dict[str, Any], errors: List[str]
     if shootout is not None:
         extracted["recovery_shootout_p99"] = _check_shootout(
             shootout, errors)
-    _check_p3(data, errors, extracted)
     return extracted
-
-
-def _check_p3(data: Dict[str, Any], errors: List[str],
-              extracted: Dict[str, Any]) -> None:
-    """P3 fields: the A/B comparison block."""
-    p3 = data.get("p3_comparison")
-    if p3 is not None:
-        for side in ("pre_pr", "current"):
-            if (p3.get(side) or {}).get("events_per_sec") is None:
-                errors.append(f"p3_comparison.{side}.events_per_sec: "
-                              f"missing or null")
-        if p3.get("ratio") is None:
-            errors.append("p3_comparison.ratio: missing or null")
-        extracted["p3_ratio"] = p3.get("ratio")
 
 
 def _check_shootout(shootout: Dict[str, Any],

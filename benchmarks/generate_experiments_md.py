@@ -161,30 +161,12 @@ COMMENTARY = {
         " depositor re-sends deposits the lost primary already made and"
         " the audit finds money created from nothing.  The full protocol"
         " is exactly-once in both scenarios."),
-    "P1": (
-        "## P1 — simulator-core throughput (events/sec as a tracked"
-        " metric)",
-        "**Not a paper claim — an infrastructure result.**  Every"
-        " experiment above turns the same event loop; how fast it turns"
-        " over bounds the fault-campaign and sweep sizes that stay"
-        " practical.  `benchmarks/test_p1_core_throughput.py` runs the"
-        " event-dense OLTP bank workload on the current core and on the"
-        " vendored pre-fast-path core (`benchmarks/_legacy_machine.py`)"
-        " in one process — identical machine-build code, interleaved"
-        " min-of-N `process_time` rounds — and verifies byte-identical"
-        " traces and terminal output before comparing speed"
-        " (`repro bench` tracks the same workloads over time;"
-        " see `docs/performance.md`):",
-        "**Shape check:** the current core clears the required 1.3x on"
-        " identical virtual behaviour — the fast path changed *when the"
-        " wall clock advances*, never what the machine computes.  The"
-        " absolute events/sec for this host lands in `BENCH_core.json`"
-        " alongside the `repro bench` suite numbers."),
     "P2": (
         "## P2 — parallel, cache-aware campaign execution (wall-clock"
         " speedup, byte-identical reports)",
-        "**Not a paper claim — an infrastructure result.**  P1 made one"
-        " scenario fast; campaigns run hundreds, each twice (failure-free"
+        "**Not a paper claim — an infrastructure result.**  The"
+        " simulator-core fast path made one scenario fast; campaigns run"
+        " hundreds, each twice (failure-free"
         " reference + faulted run), and `run_campaign` used to execute"
         " them strictly serially.  `repro.exec` shards seeds across a"
         " spawn-safe process pool (the simulator stays single-threaded"
@@ -211,31 +193,6 @@ COMMENTARY = {
         " and determinism plus the cache's own speedup are still"
         " verified.  Numbers land in `BENCH_core.json` under"
         " `parallel_campaign`."),
-    "P3": (
-        "## P3 — raw-speed tier 2: batched dispatch",
-        "**Not a paper claim — an infrastructure result.**  P1's"
-        " micro-optimizations bought one multiple; the next one required"
-        " structural change: batched same-timestamp dispatch"
-        " (`Simulator.run` drains each run of tied events from the heap"
-        " in one inner loop, amortizing per-event loop overhead) plus"
-        " allocation cuts on the scheduler, kernel-delivery and"
-        " histogram hot paths."
-        "  `benchmarks/test_p3_queue_parallel.py` runs the *dense* OLTP"
-        " workload — the bank under per-transaction application compute"
-        " — on the current engine and on the vendored pre-P3 engine"
-        " (`benchmarks/_p3_baseline.py`) in one process, interleaved"
-        " min-of-N `process_time` rounds, identical behaviour verified"
-        " before comparing speed:",
-        "**Shape check:** the current engine clears the required 1.3x"
-        " on identical virtual behaviour (same event count, end time,"
-        " terminal output and exit codes).  Calendar and ladder event"
-        " queues and an intra-run parallel loop were also built and"
-        " measured on this workload; the heap beat both queues and the"
-        " parallel loop ran at 0.338x serial under the GIL, so all three"
-        " were removed (`docs/performance.md`, \"Measured and"
-        " removed\"); `tests/test_dense_oltp_trace.py` pins this"
-        " workload's healthy and crash-path traces.  Numbers land in"
-        " `BENCH_core.json` under `p3_comparison`."),
     "F4": (
         "## F4 — latency under fault: request percentiles through"
         " crash recovery and bus degradation",
@@ -364,6 +321,27 @@ peripherals at all.  Run with `-s` to see the rendered diagram; the test
 asserts each structural constraint.
 """
 
+RETIRED = """
+---
+
+## Retired: P1 and P3 (engine speed against vendored old engines)
+
+P1 (simulator-core fast path) and P3 (batched same-timestamp dispatch)
+ran the OLTP bank and dense-OLTP workloads on the current engine and on
+a frozen copy of the engine each change started from, kept in the tree
+for that purpose.  Their last recorded ratios were **1.50×** (P1,
+115,998 vs 77,425 events/sec on the bank workload) and **1.56×** (P3,
+126,548 vs 80,893 events/sec on dense OLTP), each from one process on
+one host with timed runs of 45–75 ms.  Both benchmarks and the frozen
+engines were deleted.  Behaviour is now held by pinned trace digests
+(`tests/test_oltp_trace_pins.py`: bank and dense OLTP, healthy and with
+a mid-run cluster crash; the bank healthy digest equals the pre-fast-path
+engine's trace), and speed is compared against a git commit:
+`python3 benchmarks/ab.py REF [perfbench/run.py arguments]` runs the
+repository benchmark on `REF` and on the checkout in alternated pairs and
+gives a verdict per metric (see `docs/performance.md` section 3).
+"""
+
 SUMMARY = """
 ---
 
@@ -389,9 +367,7 @@ SUMMARY = """
 | F3 | dual bus masks transient bus faults | identical output at every loss rate |
 | F4 | FT cost hides off the critical path | crash leaves p50 untouched; p99 pays |
 | F5 | section 2 rivals priced quantitatively | auragen owns the tail; heartbeat 5.5× faster |
-| P1 | (infrastructure) simulator-core fast path | ≥1.3× events/sec, byte-identical traces |
 | P2 | (infrastructure) parallel campaign engine | ≥2× on ≥4 cores, byte-identical reports |
-| P3 | (infrastructure) raw-speed tier 2: batched dispatch | ≥1.3× dense OLTP, identical behaviour |
 """
 
 
@@ -431,7 +407,7 @@ def capture_tables() -> dict:
 def main() -> None:
     tables = capture_tables()
     order = [f"E{i}" for i in range(1, 14)] + ["F2", "F3", "F4", "F5",
-                                               "P1", "P2", "P3"]
+                                               "P2"]
     missing = [tag for tag in order if tag not in tables]
     if missing:
         raise SystemExit(f"missing experiment tables: {missing}")
@@ -441,6 +417,7 @@ def main() -> None:
         parts.append(f"\n---\n\n{title}\n\n{intro}\n")
         parts.append("```\n" + tables[tag] + "\n```\n")
         parts.append(outro + "\n")
+    parts.append(RETIRED)
     parts.append(SUMMARY)
     (ROOT / "EXPERIMENTS.md").write_text("\n".join(parts))
     print(f"EXPERIMENTS.md regenerated with {len(order)} experiments")

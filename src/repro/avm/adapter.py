@@ -35,38 +35,27 @@ from .isa import AvmError, Instruction, SYSCALL_OPS
 #: A compiled pure instruction: ``handler(ctx, regs, vpc) -> next_vpc``.
 PureHandler = Callable[[StepContext, dict, int], int]
 
-#: Adaptive batching never grows a single Compute run past this many
-#: instructions (keeps individual compute slices interruptible).
-MAX_ADAPTIVE_BATCH = 512
-
 
 class AvmProcess(Program):
     """A Program executing assembled AVM code.
 
-    ``adaptive_batch=True`` lets the pure-run batch size grow (doubling
-    up to :data:`MAX_ADAPTIVE_BATCH`) while the program stays inside
-    straight-line compute, resetting to ``max_batch`` at every syscall
-    boundary.  The current batch size lives in the ``_batch`` register —
-    part of the synced register file — so a backup replaying from its
-    last sync sees the identical batching sequence and reproduces the
-    primary's Compute slices exactly.  Off by default: it changes how
-    virtual time is sliced (still deterministically), so the A/B
-    trace-equality tests run with the fixed default.
+    Each step runs at most ``max_batch`` pure instructions and charges
+    them as one Compute slice, stopping early at a syscall boundary.
+    The batch size is fixed, so a backup replaying from its last sync
+    slices virtual time exactly as the primary did.
     """
 
     name = "avm"
 
     def __init__(self, code: List[Instruction], memory_words: int = 64,
                  cost_per_instruction: int = 10,
-                 max_batch: int = 32, name: Optional[str] = None,
-                 adaptive_batch: bool = False) -> None:
+                 max_batch: int = 32, name: Optional[str] = None) -> None:
         if not code:
             raise AvmError("cannot run an empty program")
         self._code = tuple(code)
         self._memory_words = memory_words
         self._cost = cost_per_instruction
         self._max_batch = max_batch
-        self._adaptive = adaptive_batch
         #: vpc -> compiled pure handler, or None at syscall boundaries.
         self._handlers = tuple(
             None if instruction.op in SYSCALL_OPS
@@ -87,8 +76,6 @@ class AvmProcess(Program):
         regs["sp"] = self._memory_words   # stack grows down from the top
         regs["_prints"] = 0
         regs["_phase"] = "run"
-        if self._adaptive:
-            regs["_batch"] = self._max_batch
 
     def step(self, ctx: StepContext) -> Action:
         regs = ctx.regs
@@ -98,7 +85,7 @@ class AvmProcess(Program):
             regs["_phase"] = "run"
         handlers = self._handlers
         code_len = len(handlers)
-        batch = regs["_batch"] if self._adaptive else self._max_batch
+        batch = self._max_batch
         executed = 0
         vpc = regs["vpc"]
         try:
@@ -108,8 +95,6 @@ class AvmProcess(Program):
                 handler = handlers[vpc]
                 if handler is None:           # syscall boundary
                     regs["vpc"] = vpc
-                    if self._adaptive:
-                        regs["_batch"] = self._max_batch
                     if executed:
                         # Charge the pure prefix first; the syscall issues
                         # on the next step with vpc parked at it.
@@ -123,9 +108,6 @@ class AvmProcess(Program):
             regs["vpc"] = vpc
             raise
         regs["vpc"] = vpc
-        if self._adaptive and batch < MAX_ADAPTIVE_BATCH:
-            # A full batch of straight-line compute: widen the next run.
-            regs["_batch"] = min(batch * 2, MAX_ADAPTIVE_BATCH)
         return Compute(executed * self._cost)
 
     # -- pure instructions ---------------------------------------------------------

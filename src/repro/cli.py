@@ -36,10 +36,18 @@ from typing import List, Optional
 
 from . import BackupMode, Machine, MachineConfig
 from .baselines import compare_regimes
+from .config import ConfigError
 from .hardware.topology import Topology
 from .metrics import format_table
 from .workloads import (MemoryChurnProgram, TtyWriterProgram,
                         build_bank_workload)
+
+
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def _machine(args: argparse.Namespace) -> Machine:
@@ -385,7 +393,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         command = sub.add_parser(name, parents=[common])
         command.set_defaults(fn=fn)
     campaign = sub.add_parser("campaign", parents=[common])
-    campaign.add_argument("--seeds", type=int, default=25,
+    campaign.add_argument("--seeds", type=positive_int, default=25,
                           help="number of scenarios to run")
     campaign.add_argument("--base-seed", type=int, default=0,
                           help="first seed of the sweep")
@@ -414,7 +422,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     bench = sub.add_parser("bench")
     bench.add_argument("--quick", action="store_true",
                        help="shrink workloads and rounds for a CI smoke run")
-    bench.add_argument("--rounds", type=int, default=None,
+    bench.add_argument("--rounds", type=positive_int, default=None,
                        help="timing rounds per workload (min is reported)")
     bench.add_argument("--workloads", type=str, default="",
                        help="comma-separated subset (default: all)")
@@ -468,7 +476,11 @@ def main(argv: Optional[List[str]] = None) -> int:
                                help="show each entry's parameter schema")
     scenario_list.set_defaults(fn=cmd_scenario_list)
     args = parser.parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except ConfigError as error:
+        print(f"repro: {error}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

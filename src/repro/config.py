@@ -233,10 +233,6 @@ class MachineConfig:
     costs: CostModel = field(default_factory=CostModel)
     #: Emit trace records (disable for large benchmark runs).
     trace_enabled: bool = True
-    #: Retain raw metric sample lists (``MetricSet.series``).  On by
-    #: default; the wall-clock benchmark harness turns it off so long
-    #: runs keep streaming ``(count, total, min, max)`` aggregates only.
-    metrics_raw_series: bool = True
     #: Negative ablations (experiment E13): disable one pillar of the
     #: design to demonstrate recovery depends on it.  Never set in
     #: production use.

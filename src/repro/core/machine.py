@@ -57,8 +57,7 @@ class Machine:
                  topology: Optional[Topology] = None) -> None:
         self.config = (config if config is not None
                        else small_machine()).validate()
-        self.metrics = MetricSet(
-            keep_series=self.config.metrics_raw_series)
+        self.metrics = MetricSet()
         self.trace = TraceLog(enabled=self.config.trace_enabled)
         self.sim = Simulator(trace=self.trace)
         self.topology = (topology if topology is not None
@@ -66,11 +65,7 @@ class Machine:
         self.disks = self.topology.build_disks()
         self.bus = InterclusterBus(self.sim, self.config.costs,
                                    self.metrics, self.trace)
-        if self.config.bus_faults.enabled:
-            # Post-construction install keeps the 4-arg constructor the
-            # A/B legacy-engine swap relies on; with rates at zero the
-            # bus keeps its fault-free fast path untouched.
-            self.bus.configure_faults(self.config.bus_faults)
+        self.bus.configure_faults(self.config.bus_faults)
         self.clusters: List[Cluster] = [
             Cluster(cid, self.config, self.sim, self.bus, self.metrics,
                     self.trace)

@@ -494,6 +494,11 @@ def run_campaign(seeds: Sequence[int], n_clusters: int = 3,
     across workers and across invocations.
     """
     from ..exec.pool import resolve_jobs
+    # Reject a bad cluster count or bus-rate override before any seed
+    # runs, so it surfaces as one ConfigError rather than from a worker.
+    MachineConfig(n_clusters=n_clusters, bus_faults=BusFaultConfig(
+        loss_rate=loss_rate or 0.0,
+        garble_rate=garble_rate or 0.0)).validate()
     requested = jobs
     jobs = resolve_jobs(jobs)
     if jobs > 1 and len(seeds) > 1:

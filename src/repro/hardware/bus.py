@@ -105,9 +105,8 @@ class InterclusterBus:
     def configure_faults(self, config: BusFaultConfig) -> None:
         """Install (or remove) the dual-bus transient-fault layer.
 
-        Called after construction so the constructor signature stays
-        identical to the vendored pre-fast-path bus the A/B benchmark
-        swaps in.
+        ``None`` or a config with both rates at zero removes it, leaving
+        the perfect-channel fast path.
         """
         self._faults = (DualBusFaultLayer(config) if config is not None
                         and config.enabled else None)

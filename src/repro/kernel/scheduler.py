@@ -68,8 +68,8 @@ class Scheduler:
     paper's "very high priority" treatment of system work.
 
     The step engine is the hottest non-loop code in the repository, so it
-    trades a little uniformity for allocation avoidance (measured in the
-    P3 A/B benchmark):
+    trades a little uniformity for allocation avoidance (measured on the
+    dense-OLTP workload):
 
     * one :class:`StepContext` + :class:`MemoryTxn` pair is cached per
       PCB and reset per step instead of allocated per step;

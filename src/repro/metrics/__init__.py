@@ -1,6 +1,6 @@
 """Instrumentation: counters, busy-time accounting, report tables."""
 
-from .counters import IntervalStats, MetricSet, MetricsError
+from .counters import IntervalStats, MetricSet
 from .histogram import LogHistogram, exact_percentile
 from .machinereport import machine_report
 from .report import format_percent, format_ratio, format_table
@@ -9,7 +9,6 @@ __all__ = [
     "IntervalStats",
     "LogHistogram",
     "MetricSet",
-    "MetricsError",
     "exact_percentile",
     "format_percent",
     "format_ratio",

@@ -7,12 +7,9 @@ records exactly those quantities so the benchmark harness can print them.
 
 Sample series are aggregated *streaming*: :meth:`MetricSet.record` folds
 each value into a running ``(count, total, min, max)`` so
-:meth:`MetricSet.stats` is O(1) and a long campaign run holds four
-integers per series instead of an unbounded list.  Raw-series retention
-(everything :meth:`MetricSet.series` returns) is controlled by
-``keep_series``: on by default so reports and tests can read the exact
-sample lists, switched off by the wall-clock benchmark harness where the
-per-sample appends and the memory they pin are pure overhead.
+:meth:`MetricSet.stats` is O(1).  The raw samples are retained as well,
+so reports, campaigns and tests can read the exact lists through
+:meth:`MetricSet.series`.
 """
 
 from __future__ import annotations
@@ -22,10 +19,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from .histogram import LogHistogram
-
-
-class MetricsError(Exception):
-    """Raised on invalid metric access (e.g. raw series not retained)."""
 
 
 @dataclass
@@ -55,23 +48,18 @@ class MetricSet:
       activity (``executive[c0].deliver_backup``, ``work[c1].user``), the
       paper's work-versus-executive accounting.
 
-    ``keep_series=False`` drops raw sample retention (streaming running
-    stats only); :meth:`stats` and :meth:`snapshot` are identical in both
-    modes (``tests/test_metrics_streaming.py`` checks this on real
-    workloads), only :meth:`series` requires retention.
+    :meth:`stats` reads the running aggregate; it always equals a
+    recomputation from :meth:`series` (``tests/test_metrics_streaming.py``
+    checks this on real workloads).
     """
 
-    def __init__(self, keep_series: bool = True) -> None:
+    def __init__(self) -> None:
         self._counters: Dict[str, int] = defaultdict(int)
         #: name -> [count, total, minimum, maximum], updated per record().
         self._running: Dict[str, List[int]] = {}
         self._series: Dict[str, List[int]] = defaultdict(list)
-        self._keep_series = keep_series
         self._busy: Dict[Tuple[str, str], int] = defaultdict(int)
-        #: Bounded-memory log-spaced histograms (latency percentiles);
-        #: retained in *both* keep_series modes — bucket counts, not raw
-        #: samples, so the memory argument for dropping series does not
-        #: apply and percentile output is identical either way.
+        #: Bounded-memory log-spaced histograms (latency percentiles).
         self._hists: Dict[str, LogHistogram] = {}
 
     # -- counters ---------------------------------------------------------
@@ -92,8 +80,8 @@ class MetricSet:
     # -- samples ----------------------------------------------------------
 
     def record(self, name: str, value: int) -> None:
-        """Fold one sample into series ``name``'s running stats (and the
-        retained raw series when ``keep_series`` is on)."""
+        """Fold one sample into series ``name``'s running stats and its
+        retained raw series."""
         running = self._running.get(name)
         if running is None:
             self._running[name] = [1, value, value, value]
@@ -104,20 +92,10 @@ class MetricSet:
                 running[2] = value
             elif value > running[3]:
                 running[3] = value
-        if self._keep_series:
-            self._series[name].append(value)
+        self._series[name].append(value)
 
     def series(self, name: str) -> List[int]:
-        """Raw samples recorded under ``name`` (empty list if none).
-
-        Raises :class:`MetricsError` if samples were recorded but raw
-        retention is off — the streaming stats are still available via
-        :meth:`stats`.
-        """
-        if not self._keep_series and name in self._running:
-            raise MetricsError(
-                f"raw series {name!r} not retained (keep_series=False); "
-                f"use stats() for the streaming aggregate")
+        """Raw samples recorded under ``name`` (empty list if none)."""
         return list(self._series.get(name, []))
 
     def stats(self, name: str) -> Optional[IntervalStats]:

@@ -136,7 +136,7 @@ class Simulator:
         Operates on ``heap._heap`` directly with the same lazy-discard
         and live-count accounting as :meth:`EventHeap.pop_next`; the
         method-call layer per event was a measured fraction of dense
-        workloads (see the P3 A/B benchmark).  Executed events are added
+        workloads such as dense OLTP.  Executed events are added
         to :attr:`events_executed` even when an action raises.
         """
         executed = 0

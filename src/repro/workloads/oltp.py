@@ -334,8 +334,8 @@ def build_dense_oltp(machine, n_clients: int = 4,
     """Spawn the bank with :class:`DenseBankClientProgram` clients: the
     transfer stream of :func:`build_bank_workload` (same seed-derived
     transfer lists) plus per-transaction application compute on every
-    client.  This is the P3 benchmark's "dense OLTP" workload — event
-    density comes from scheduler dispatch, not from channel waits.
+    client.  This is the "dense OLTP" workload — event density comes
+    from scheduler dispatch, not from channel waits.
 
     Returns ``(server_pid, client_pids, expected_total)`` like
     :func:`build_bank_workload`.

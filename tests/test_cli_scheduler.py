@@ -40,6 +40,49 @@ def test_cli_requires_command():
         main([])
 
 
+# Malformed input: one ``repro: ...`` line on stderr and exit code 2,
+# never a traceback.
+
+@pytest.mark.parametrize("argv", [["demo", "--clusters", "1"],
+                                  ["campaign", "--clusters", "40"]])
+def test_cli_bad_cluster_count_is_one_line_error(argv, capsys):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == f"repro: Auragen 4000 supports 2-32 clusters, " \
+                  f"got {argv[-1]}\n"
+
+
+def test_cli_campaign_bad_bus_rate_rejected_before_any_seed(monkeypatch,
+                                                            capsys):
+    import repro.exec.pool
+    import repro.faults.campaign
+
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("a seed ran despite the invalid loss rate")
+
+    monkeypatch.setattr(repro.faults.campaign, "run_seed", must_not_run)
+    monkeypatch.setattr(repro.exec.pool, "run_campaign_parallel",
+                        must_not_run)
+    assert main(["campaign", "--loss-rate", "2", "--jobs", "2"]) == 2
+    assert capsys.readouterr().err == (
+        "repro: loss_rate must be in [0, 1), got 2.0\n")
+
+
+@pytest.mark.parametrize("rounds", ["0", "-3"])
+def test_cli_bench_rejects_nonpositive_rounds(rounds, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["bench", "--rounds", rounds])
+    assert exit_info.value.code == 2
+    assert f"--rounds: must be >= 1, got {rounds}" in capsys.readouterr().err
+
+
+def test_cli_campaign_rejects_zero_seeds(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["campaign", "--seeds", "0"])
+    assert exit_info.value.code == 2
+    assert "--seeds: must be >= 1, got 0" in capsys.readouterr().err
+
+
 # -- scheduler ---------------------------------------------------------------------
 
 def test_two_work_processors_run_in_parallel():

@@ -5,9 +5,7 @@ reports, so its contract is checked against a brute-force reference:
 randomized sample sets compared with ``exact_percentile`` within the
 advertised 3.125% relative error, merge associativity/commutativity
 across shuffled shards (the byte-identical parallel-campaign gate rests
-on it), serialization round-trips, and equivalence of the
-``keep_series=False`` metrics mode (``metrics_raw_series``) with raw
-retention.
+on it) and serialization round-trips.
 """
 
 from __future__ import annotations
@@ -152,27 +150,3 @@ def test_serialization_round_trip():
     assert clone.as_dict() == hist.as_dict()
     assert clone.summary() == hist.summary()
 
-
-# -- MetricSet integration: keep_series=False equivalence ---------------
-
-
-def test_streaming_mode_yields_identical_percentiles():
-    """Histograms hold bucket counts, not raw samples, so switching raw
-    series retention off must not change a single percentile field."""
-    from repro import Machine, MachineConfig
-    from repro.workloads import build_bank_workload
-
-    def run(raw):
-        machine = Machine(MachineConfig(n_clusters=3, seed=5,
-                                        trace_enabled=False,
-                                        metrics_raw_series=raw).validate())
-        build_bank_workload(machine, n_clients=3, txns_per_client=4)
-        machine.run()
-        return {name: hist.as_dict()
-                for name, hist in machine.metrics.histograms().items()}
-
-    raw_hists = run(True)
-    streaming_hists = run(False)
-    assert raw_hists == streaming_hists
-    assert "latency.request" in raw_hists
-    assert raw_hists["latency.request"]["count"] > 0

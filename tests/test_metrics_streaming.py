@@ -1,16 +1,14 @@
-"""Streaming vs. raw-retention MetricSet equivalence on real workloads.
+"""Streaming ``MetricSet`` aggregates against the raw series on real
+workloads.
 
-``MetricSet`` aggregates sample series into running ``(count, total,
-min, max)`` stats so the benchmark harness can switch raw retention off
-(``metrics_raw_series=False``).  That switch must be *observationally
-free*: ``stats()`` and ``snapshot()`` on a streaming-only machine must
-equal those of an identical run retaining every raw sample, and the
-streaming aggregate must equal what recomputing from the raw series
-gives.  Checked on the workloads the E1–E3 experiments drive (sync-heavy
-writer, message-heavy ping-pong, churn with checkpointing stalls), which
-between them populate every sample series the machine records
-(``sync.stall_ticks``, ``checkpoint.stall_ticks``,
-``recovery.crash_handle_latency``).
+``MetricSet`` folds every sample into a running ``(count, total, min,
+max)`` so ``stats()`` is O(1), and it also retains the raw samples that
+``series()`` returns.  The running aggregate must equal what recomputing
+from the raw series gives.  Checked on the workloads the E1–E3
+experiments drive (sync-heavy writer, message-heavy ping-pong, churn
+with checkpointing stalls), which between them populate every sample
+series the machine records (``sync.stall_ticks``,
+``checkpoint.stall_ticks``, ``recovery.crash_handle_latency``).
 """
 
 from __future__ import annotations
@@ -18,14 +16,14 @@ from __future__ import annotations
 import pytest
 
 from repro import BackupMode, Machine, MachineConfig
-from repro.metrics import IntervalStats, MetricSet, MetricsError
+from repro.metrics import IntervalStats, MetricSet
 from repro.workloads import (MemoryChurnProgram, PingProgram, PongProgram,
                              TtyWriterProgram, build_bank_workload)
 
 
-def build_machine(raw: bool) -> Machine:
-    return Machine(MachineConfig(n_clusters=3, seed=11, trace_enabled=False,
-                                 metrics_raw_series=raw).validate())
+def build_machine() -> Machine:
+    return Machine(MachineConfig(n_clusters=3, seed=11,
+                                 trace_enabled=False).validate())
 
 
 def populate(machine: Machine, workload: str) -> None:
@@ -57,52 +55,29 @@ WORKLOADS = ("e1-overhead", "e2-messages", "e3-sync-crash")
 
 @pytest.mark.parametrize("workload", WORKLOADS)
 def test_streaming_stats_match_raw_mode(workload: str) -> None:
-    raw_machine = build_machine(raw=True)
-    populate(raw_machine, workload)
-    raw_machine.run_until_idle(max_events=10_000_000)
+    machine = build_machine()
+    populate(machine, workload)
+    machine.run_until_idle(max_events=10_000_000)
+    metrics = machine.metrics
 
-    streaming_machine = build_machine(raw=False)
-    populate(streaming_machine, workload)
-    streaming_machine.run_until_idle(max_events=10_000_000)
-
-    raw_metrics = raw_machine.metrics
-    streaming = streaming_machine.metrics
-
-    # Identical runs: the virtual outcome must match before comparing
-    # metrics, otherwise a divergence would masquerade as a metrics bug.
-    assert raw_machine.sim.now == streaming_machine.sim.now
-    assert (raw_machine.sim.events_executed
-            == streaming_machine.sim.events_executed)
-
-    raw_snapshot = raw_metrics.snapshot()
-    streaming_snapshot = streaming.snapshot()
-    assert raw_snapshot == streaming_snapshot
-    sample_names = raw_snapshot["samples"].keys()
+    sample_names = metrics.snapshot()["samples"].keys()
     assert sample_names, f"workload {workload} recorded no sample series"
-
     for name in sample_names:
-        raw_stats = raw_metrics.stats(name)
-        assert streaming.stats(name) == raw_stats
-        # The streaming aggregate must equal a recomputation from the
-        # raw samples the other machine retained.
-        samples = raw_metrics.series(name)
-        assert raw_stats == IntervalStats(
+        samples = metrics.series(name)
+        assert metrics.stats(name) == IntervalStats(
             count=len(samples), total=sum(samples),
             minimum=min(samples), maximum=max(samples))
-        # Raw access in streaming mode is a loud error, not silent data.
-        with pytest.raises(MetricsError):
-            streaming.series(name)
 
 
 def test_series_access_rules() -> None:
-    streaming = MetricSet(keep_series=False)
-    assert streaming.series("never.recorded") == []  # empty, not an error
-    streaming.record("x", 3)
-    with pytest.raises(MetricsError):
-        streaming.series("x")
-    retained = MetricSet(keep_series=True)
-    retained.record("x", 3)
-    retained.record("x", 5)
-    assert retained.series("x") == [3, 5]
-    assert retained.stats("x") == IntervalStats(count=2, total=8,
-                                                minimum=3, maximum=5)
+    metrics = MetricSet()
+    assert metrics.series("never.recorded") == []
+    assert metrics.stats("never.recorded") is None
+    metrics.record("x", 3)
+    metrics.record("x", 5)
+    assert metrics.series("x") == [3, 5]
+    assert metrics.stats("x") == IntervalStats(count=2, total=8,
+                                              minimum=3, maximum=5)
+    # series() hands out a copy: callers cannot corrupt the retained list.
+    metrics.series("x").append(99)
+    assert metrics.series("x") == [3, 5]
